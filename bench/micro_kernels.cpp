@@ -288,6 +288,41 @@ void BM_RsmtBuilder(benchmark::State& state) {
 }
 BENCHMARK(BM_RsmtBuilder)->Arg(3)->Arg(8)->Arg(16)->Arg(64);
 
+/// One maze search per iteration on a seeded congested grid, priced by the
+/// maze-refine functor (wire weight plus 500 x marginal overuse against a
+/// random demand map around capacity). Cycles through 64 seeded
+/// source/target pairs; Arg = grid side.
+void BM_MazeRoute(benchmark::State& state) {
+  const auto side = static_cast<int>(state.range(0));
+  const grid::GCellGrid g = grid::GCellGrid::uniform(side, side, 5, 2);
+  util::Rng rng(17);
+  grid::DemandMap others(g);
+  std::vector<float> cap(static_cast<std::size_t>(g.edge_count()));
+  for (grid::EdgeId e = 0; e < g.edge_count(); ++e) {
+    cap[static_cast<std::size_t>(e)] = static_cast<float>(g.base_capacity(e));
+    others.add(e, static_cast<double>(rng.uniform_int(0, 6)));
+  }
+  auto price = [&](grid::EdgeId e) {
+    const double d = others.demand(e);
+    const double c = cap[static_cast<std::size_t>(e)];
+    return 0.5 + 500.0 * (std::max(0.0, d + 1.0 - c) - std::max(0.0, d - c));
+  };
+  std::vector<std::pair<geom::Point, geom::Point>> pairs;
+  for (int i = 0; i < 64; ++i) {
+    auto cell = [&] {
+      return geom::Point{static_cast<geom::Coord>(rng.uniform_int(0, side - 1)),
+                         static_cast<geom::Coord>(rng.uniform_int(0, side - 1))};
+    };
+    pairs.emplace_back(cell(), cell());
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [a, b] = pairs[i++ % pairs.size()];
+    benchmark::DoNotOptimize(routers::maze_route(g, {a}, b, price));
+  }
+}
+BENCHMARK(BM_MazeRoute)->Arg(32)->Arg(96)->Unit(benchmark::kMicrosecond);
+
 /// Console reporter that also captures (name, ns/iter) for every completed
 /// iteration run so main() can dump them as JSON.
 class JsonCaptureReporter : public benchmark::ConsoleReporter {

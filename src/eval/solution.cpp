@@ -10,8 +10,11 @@ using geom::Point;
 using grid::DemandMap;
 using grid::EdgeId;
 
-void RouteSolution::apply_net(DemandMap& dm, const design::Design& design,
-                              const NetRoute& net, float via_beta, double sign) {
+namespace {
+
+template <class Map>
+void apply_net_to(Map& dm, const design::Design& design, const NetRoute& net,
+                  float via_beta, double sign) {
   const auto& grid = design.grid();
   for (const PatternPath& path : net.paths) {
     const std::vector<EdgeId> edges = path.edges(grid);
@@ -30,6 +33,18 @@ void RouteSolution::apply_net(DemandMap& dm, const design::Design& design,
       }
     }
   }
+}
+
+}  // namespace
+
+void RouteSolution::apply_net(DemandMap& dm, const design::Design& design,
+                              const NetRoute& net, float via_beta, double sign) {
+  apply_net_to(dm, design, net, via_beta, sign);
+}
+
+void RouteSolution::apply_net(grid::NetEdgeMap& dm, const design::Design& design,
+                              const NetRoute& net, float via_beta, double sign) {
+  apply_net_to(dm, design, net, via_beta, sign);
 }
 
 DemandMap RouteSolution::demand(float via_beta) const {

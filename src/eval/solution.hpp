@@ -28,6 +28,9 @@ struct RouteSolution {
   /// Adds/removes a single net's contribution (rip-up & reroute support).
   static void apply_net(grid::DemandMap& dm, const design::Design& design,
                         const NetRoute& net, float via_beta, double sign);
+  /// Same charges into one net's sparse map (per-net pricing).
+  static void apply_net(grid::NetEdgeMap& dm, const design::Design& design,
+                        const NetRoute& net, float via_beta, double sign);
 
   /// Total wirelength (sum of path lengths) and bend count.
   std::int64_t total_wirelength() const;

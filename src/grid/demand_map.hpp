@@ -6,6 +6,7 @@
 // solver produces an *expected* demand internally and only materialises a
 // DemandMap when extracting the discrete solution.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -54,6 +55,53 @@ class DemandMap {
 
  private:
   std::vector<double> demand_;
+};
+
+/// One net's own per-edge demand, for pricing a net against a shared
+/// DemandMap without building a full-grid map per net. Storage is dense but
+/// generation-stamped, so reset() is O(1) and only the edges the net touches
+/// are ever visited. Per-edge values accumulate exactly like DemandMap::add
+/// (0.0 plus quantized increments in call order), so a sum over
+/// sorted_edges() is bitwise equal to the same sum over a full-grid scan.
+/// Callers reuse one map across the nets of a pass.
+class NetEdgeMap {
+ public:
+  /// Forgets every entry and sizes the map for `edge_count` edges.
+  void reset(std::size_t edge_count) {
+    if (stamp_.size() < edge_count) {
+      value_.resize(edge_count);
+      stamp_.resize(edge_count, 0);
+    }
+    touched_.clear();
+    if (++generation_ == 0) {
+      std::fill(stamp_.begin(), stamp_.end(), 0u);
+      generation_ = 1;
+    }
+  }
+  double demand(EdgeId e) const {
+    const auto i = static_cast<std::size_t>(e);
+    return stamp_[i] == generation_ ? value_[i] : 0.0;
+  }
+  void add(EdgeId e, double amount) {
+    const auto i = static_cast<std::size_t>(e);
+    if (stamp_[i] != generation_) {
+      stamp_[i] = generation_;
+      value_[i] = 0.0;
+      touched_.push_back(e);
+    }
+    value_[i] += DemandMap::quantize(amount);
+  }
+  /// The touched edges in ascending id order (each once).
+  const std::vector<EdgeId>& sorted_edges() {
+    std::sort(touched_.begin(), touched_.end());
+    return touched_;
+  }
+
+ private:
+  std::vector<double> value_;
+  std::vector<std::uint32_t> stamp_;
+  std::vector<EdgeId> touched_;
+  std::uint32_t generation_ = 0;
 };
 
 }  // namespace dgr::grid

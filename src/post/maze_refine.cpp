@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <tuple>
 
 #include "obs/trace.hpp"
 #include "routers/maze.hpp"
@@ -15,6 +16,7 @@ using eval::RouteSolution;
 using geom::Point;
 using grid::DemandMap;
 using grid::EdgeId;
+using grid::NetEdgeMap;
 
 namespace {
 
@@ -29,20 +31,22 @@ struct NetCost {
   std::int64_t overflowed_edges = 0;
 };
 
+/// `mine` is scratch: reset here and left holding the net's own demand.
 NetCost net_cost(const design::Design& design, const NetRoute& net, const DemandMap& others,
                  const std::vector<float>& cap, const MazeRefineOptions& opt,
-                 double via_scale) {
-  DemandMap mine(design.grid());
+                 double via_scale, NetEdgeMap& mine) {
+  mine.reset(static_cast<std::size_t>(design.grid().edge_count()));
   RouteSolution::apply_net(mine, design, net, opt.via_beta, +1.0);
   NetCost out;
   double over = 0.0;
   std::int64_t wl = 0;
   std::int64_t bends = 0;
-  for (std::size_t e = 0; e < mine.raw().size(); ++e) {
-    const double w = mine.raw()[e];
+  for (const EdgeId e : mine.sorted_edges()) {
+    const double w = mine.demand(e);
     if (w <= 0.0) continue;
-    const double base = others.raw()[e];
-    const double c = cap[e];
+    const auto i = static_cast<std::size_t>(e);
+    const double base = others.raw()[i];
+    const double c = cap[i];
     over += std::max(0.0, base + w - c) - std::max(0.0, base - c);
     if (base + w > c + 1e-6) ++out.overflowed_edges;
   }
@@ -55,21 +59,20 @@ NetCost net_cost(const design::Design& design, const NetRoute& net, const Demand
   return out;
 }
 
-}  // namespace
-
-NetRoute maze_reroute_net(const design::Design& design, std::size_t design_net,
-                          const DemandMap& others, const std::vector<float>& cap,
-                          const MazeRefineOptions& opt) {
+/// maze_reroute_net with caller-owned scratch for the net's own usage, so a
+/// refine pass prices every victim with one map instead of one per net.
+NetRoute reroute_net(const design::Design& design, std::size_t design_net,
+                     const DemandMap& others, const std::vector<float>& cap,
+                     const MazeRefineOptions& opt, NetEdgeMap& mine) {
   const auto& grid = design.grid();
   NetRoute route;
   route.design_net = design_net;
   std::vector<Point> pins = geom::dedupe_points(design.net(design_net).pins);
 
   // Track this net's own usage so parallel sub-nets share edges for free.
-  DemandMap mine(grid);
+  mine.reset(static_cast<std::size_t>(grid.edge_count()));
   auto price = [&](EdgeId e) {
-    const double d = others.raw()[static_cast<std::size_t>(e)] +
-                     mine.raw()[static_cast<std::size_t>(e)];
+    const double d = others.raw()[static_cast<std::size_t>(e)] + mine.demand(e);
     const double c = cap[static_cast<std::size_t>(e)];
     const double marginal = std::max(0.0, d + 1.0 - c) - std::max(0.0, d - c);
     return opt.wl_weight + opt.congestion_price * marginal;
@@ -109,6 +112,15 @@ NetRoute maze_reroute_net(const design::Design& design, std::size_t design_net,
   return route;
 }
 
+}  // namespace
+
+NetRoute maze_reroute_net(const design::Design& design, std::size_t design_net,
+                          const DemandMap& others, const std::vector<float>& cap,
+                          const MazeRefineOptions& opt) {
+  NetEdgeMap mine;
+  return reroute_net(design, design_net, others, cap, opt, mine);
+}
+
 MazeRefineStats maze_refine(RouteSolution& sol, const std::vector<float>& capacities,
                             const MazeRefineOptions& options) {
   DGR_TRACE_SCOPE("post.maze_refine");
@@ -133,6 +145,7 @@ MazeRefineStats maze_refine(RouteSolution& sol, const std::vector<float>& capaci
   };
   RouteSolution best = sol;
   auto best_score = snapshot_score();
+  NetEdgeMap mine;  // per-net scratch, shared by every victim's pricing
 
   for (int round = 0; round < options.max_rounds; ++round) {
     // Nets crossing overflowed edges, most-overflowed first.
@@ -156,11 +169,11 @@ MazeRefineStats maze_refine(RouteSolution& sol, const std::vector<float>& capaci
     for (const auto& [worst, i] : victims) {
       RouteSolution::apply_net(demand, design, sol.nets[i], options.via_beta, -1.0);
       const NetCost old_cost =
-          net_cost(design, sol.nets[i], demand, capacities, options, via_scale);
-      NetRoute candidate =
-          maze_reroute_net(design, sol.nets[i].design_net, demand, capacities, options);
+          net_cost(design, sol.nets[i], demand, capacities, options, via_scale, mine);
+      NetRoute candidate = reroute_net(design, sol.nets[i].design_net, demand, capacities,
+                                       options, mine);
       const NetCost new_cost =
-          net_cost(design, candidate, demand, capacities, options, via_scale);
+          net_cost(design, candidate, demand, capacities, options, via_scale, mine);
       ++stats.nets_rerouted;
       // Accept only complete reroutes that strictly improve without adding
       // overflowed edges (an empty candidate = unreachable pin, rejected).

@@ -22,6 +22,7 @@ Cugr2Lite::Cugr2Lite(const design::Design& design, std::vector<float> capacities
       capacities_(std::move(capacities)),
       options_(options),
       builder_(options.rsmt),
+      segment_range_(design.net_count()),
       demand_(design.grid()) {
   via_cost_scale_ = std::sqrt(static_cast<double>(design.grid().layer_count()));
 }
@@ -36,16 +37,25 @@ double Cugr2Lite::edge_cost(EdgeId e) const {
   return options_.wl_weight + options_.congestion_weight * congestion;
 }
 
+std::span<const Cugr2Lite::Segment> Cugr2Lite::subnets(std::size_t design_net) {
+  auto& [first, last] = segment_range_[design_net];
+  if (first == last) {
+    const rsmt::SteinerTree tree = builder_.build(design_.net(design_net).pins);
+    first = static_cast<std::uint32_t>(segments_.size());
+    for (const auto& [ia, ib] : tree.edges) {
+      segments_.emplace_back(tree.nodes[static_cast<std::size_t>(ia)],
+                             tree.nodes[static_cast<std::size_t>(ib)]);
+    }
+    last = static_cast<std::uint32_t>(segments_.size());
+  }
+  return std::span<const Segment>(segments_).subspan(first, last - first);
+}
+
 NetRoute Cugr2Lite::route_net(std::size_t design_net, bool allow_maze) {
   NetRoute route;
   route.design_net = design_net;
   const auto& grid = design_.grid();
-  const rsmt::SteinerTree tree = builder_.build(design_.net(design_net).pins);
-
-  for (const auto& [ia, ib] : tree.edges) {
-    const geom::Point a = tree.nodes[static_cast<std::size_t>(ia)];
-    const geom::Point b = tree.nodes[static_cast<std::size_t>(ib)];
-
+  for (const auto& [a, b] : subnets(design_net)) {
     // DP over the pattern candidates: pick the min-cost embedding.
     const std::vector<PatternPath> candidates = dag::enumerate_paths(a, b, options_.paths);
     double best_cost = std::numeric_limits<double>::infinity();

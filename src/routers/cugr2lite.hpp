@@ -11,6 +11,10 @@
 // weakness DGR's concurrent optimisation addresses.
 
 #include <atomic>
+#include <cstdint>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "dag/path.hpp"
 #include "design/design.hpp"
@@ -65,10 +69,23 @@ class Cugr2Lite {
   /// Cost of pushing one more unit of wire across edge e.
   double edge_cost(grid::EdgeId e) const;
 
+  using Segment = std::pair<geom::Point, geom::Point>;
+
+  /// The net's RSMT as its 2-pin sub-nets, built on first use: the tree
+  /// depends only on the pins, so every RRR round reuses it. The span is
+  /// valid until the next call that builds another net's tree.
+  std::span<const Segment> subnets(std::size_t design_net);
+
   const design::Design& design_;
   std::vector<float> capacities_;
   Cugr2LiteOptions options_;
   rsmt::RsmtBuilder builder_;
+  /// Cached sub-nets of every net routed so far, flattened into one array
+  /// (no allocation per net): net n's are segments_[first, last) for
+  /// (first, last) = segment_range_[n]; first == last means "not built"
+  /// (every routable net has at least one sub-net).
+  std::vector<Segment> segments_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> segment_range_;
   grid::DemandMap demand_;
   double via_cost_scale_ = 1.0;
 };

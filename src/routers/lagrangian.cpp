@@ -125,6 +125,8 @@ RouteSolution LagrangianRouter::route(LagrangianStats* stats) {
     };
     RouteSolution repaired_best = best;
     auto repaired_score = snapshot_score();
+    // One net's own usage, shared by the reroute pricing and route_cost.
+    grid::NetEdgeMap mine;
     for (int r = 0; r < options_.repair_rounds; ++r) {
       bool changed = false;
       for (NetRoute& net : best.nets) {
@@ -147,12 +149,12 @@ RouteSolution LagrangianRouter::route(LagrangianStats* stats) {
         auto route_cost = [&](const std::vector<PatternPath>& paths) {
           double c = 0.0;
           std::int64_t over_edges = 0;
-          grid::DemandMap mine(grid);
+          mine.reset(static_cast<std::size_t>(grid.edge_count()));
           for (const PatternPath& p : paths) {
             c += 0.5 * static_cast<double>(p.length());
             for (const EdgeId e : p.edges(grid)) mine.add(e, 1.0);
           }
-          for (EdgeId e = 0; e < grid.edge_count(); ++e) {
+          for (const EdgeId e : mine.sorted_edges()) {
             const double w = mine.demand(e);
             if (w <= 0.0) continue;
             const double d = dm.demand(e);
@@ -163,7 +165,7 @@ RouteSolution LagrangianRouter::route(LagrangianStats* stats) {
           return std::pair(c, over_edges);
         };
         std::vector<PatternPath> candidate;
-        grid::DemandMap mine(grid);
+        mine.reset(static_cast<std::size_t>(grid.edge_count()));
         for (const PatternPath& p : net.paths) {
           auto price = [&](EdgeId e) {
             const double d = dm.demand(e) + mine.demand(e);

@@ -1,82 +1,39 @@
 #include "routers/maze.hpp"
 
-#include <cmath>
-#include <limits>
-#include <queue>
+#include <algorithm>
 
 namespace dgr::routers {
 
-MazeResult maze_route(const GCellGrid& grid, const std::vector<Point>& sources,
-                      Point target, const std::function<double(EdgeId)>& edge_cost) {
-  MazeResult result;
-  if (sources.empty()) {
-    result.status = Status(StatusCode::kInvalidArgument, "maze: empty source set");
-    return result;
-  }
-  const auto num_cells = static_cast<std::size_t>(grid.cell_count());
-  std::vector<double> dist(num_cells, std::numeric_limits<double>::infinity());
-  std::vector<std::int32_t> prev(num_cells, -1);
+namespace detail {
 
-  using QItem = std::pair<double, std::int32_t>;  // (dist, cell)
-  std::priority_queue<QItem, std::vector<QItem>, std::greater<>> queue;
-  for (const Point& s : sources) {
-    const auto c = static_cast<std::size_t>(grid.cell_id(s));
-    if (dist[c] > 0.0) {
-      dist[c] = 0.0;
-      queue.push({0.0, static_cast<std::int32_t>(c)});
-    }
+void MazeScratch::begin(std::size_t cells) {
+  if (stamp.size() < cells) {
+    dist.resize(cells);
+    prev.resize(cells);
+    stamp.resize(cells, 0);
   }
-  const auto target_id = static_cast<std::size_t>(grid.cell_id(target));
-
-  while (!queue.empty()) {
-    const auto [d, cell] = queue.top();
-    queue.pop();
-    const auto c = static_cast<std::size_t>(cell);
-    if (d > dist[c]) continue;  // stale entry
-    if (c == target_id) break;
-    const Point p = grid.cell_point(cell);
-    const Point neighbours[4] = {
-        {static_cast<geom::Coord>(p.x - 1), p.y},
-        {static_cast<geom::Coord>(p.x + 1), p.y},
-        {p.x, static_cast<geom::Coord>(p.y - 1)},
-        {p.x, static_cast<geom::Coord>(p.y + 1)},
-    };
-    for (const Point& q : neighbours) {
-      if (!grid.in_bounds(q)) continue;
-      const EdgeId e = grid.edge_between(p, q);
-      const double nd = d + edge_cost(e);
-      const auto qc = static_cast<std::size_t>(grid.cell_id(q));
-      if (nd < dist[qc]) {
-        dist[qc] = nd;
-        prev[qc] = cell;
-        queue.push({nd, static_cast<std::int32_t>(qc)});
-      }
-    }
+  generation += 2;
+  if (generation == 0) {
+    // Wrapped: stale stamps could alias the new generation's tags.
+    std::fill(stamp.begin(), stamp.end(), 0u);
+    generation = 2;
   }
-
-  if (!std::isfinite(dist[target_id])) {
-    // Surface the dead end as a typed Status instead of a silent empty
-    // result, so callers can distinguish "no path" from "not attempted".
-    const Point t = grid.cell_point(static_cast<std::int32_t>(target_id));
-    result.status = Status(StatusCode::kUnreachableTarget,
-                           "maze: target (" + std::to_string(t.x) + "," +
-                               std::to_string(t.y) + ") unreachable from " +
-                               std::to_string(sources.size()) + " source(s)");
-    return result;
-  }
-  result.found = true;
-  result.status = Status();  // OK
-  result.cost = dist[target_id];
-  // Walk predecessors back to a source.
-  std::vector<Point> reversed;
-  std::int32_t cur = static_cast<std::int32_t>(target_id);
-  while (cur >= 0) {
-    reversed.push_back(grid.cell_point(cur));
-    cur = prev[static_cast<std::size_t>(cur)];
-  }
-  result.cells.assign(reversed.rbegin(), reversed.rend());
-  return result;
+  heap.clear();
 }
+
+MazeScratch& maze_scratch() {
+  thread_local MazeScratch scratch;
+  return scratch;
+}
+
+Status unreachable_status(Point target, std::size_t num_sources) {
+  return Status(StatusCode::kUnreachableTarget,
+                "maze: target (" + std::to_string(target.x) + "," +
+                    std::to_string(target.y) + ") unreachable from " +
+                    std::to_string(num_sources) + " source(s)");
+}
+
+}  // namespace detail
 
 PatternPath compress_cells(const std::vector<Point>& cells) {
   PatternPath path;

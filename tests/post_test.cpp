@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "design/generator.hpp"
 #include "eval/metrics.hpp"
 #include "post/layer_assign.hpp"
 #include "post/maze_refine.hpp"
 #include "routers/cugr2lite.hpp"
+#include "util/parallel.hpp"
 
 namespace dgr::post {
 namespace {
@@ -218,6 +221,79 @@ TEST(MazeRefine, EndToEndAfterRouterOnCongestedCase) {
   const MazeRefineStats stats = maze_refine(sol, cap);
   EXPECT_LE(stats.overflow_after, stats.overflow_before + 1e-9);
   EXPECT_TRUE(sol.connects_all_pins());
+}
+
+/// FNV-1a over every net's index and waypoints, in solution order.
+std::uint64_t solution_hash(const RouteSolution& sol) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const NetRoute& net : sol.nets) {
+    mix(net.design_net);
+    mix(net.paths.size());
+    for (const dag::PatternPath& p : net.paths) {
+      mix(p.waypoints.size());
+      for (const Point& q : p.waypoints) {
+        mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(q.x)) << 32 |
+            static_cast<std::uint32_t>(q.y));
+      }
+    }
+  }
+  return h;
+}
+
+struct RefineOutcome {
+  MazeRefineStats stats;
+  std::uint64_t hash = 0;
+};
+
+// Golden values captured from the std::priority_queue maze core with
+// full-grid per-net DemandMaps that the current core replaced: stats and
+// geometry must not move, at any worker count.
+TEST(MazeRefine, GoldenOnSeededCongestedDesign) {
+  design::IspdLikeParams p;
+  p.num_nets = 500;
+  p.grid_w = p.grid_h = 24;
+  p.layers = 5;
+  p.tracks_per_layer = 3;
+  p.hotspot_affinity = 0.6;
+  const Design d = design::generate_ispd_like(p, 2024);
+  const auto cap = d.capacities();
+  routers::Cugr2LiteOptions ropts;
+  ropts.rrr_rounds = 1;
+  const RouteSolution initial = routers::Cugr2Lite(d, cap, ropts).route();
+  ASSERT_EQ(solution_hash(initial), 0xb3fa8c558ebd7308ull);
+
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    util::set_worker_count(workers);
+    // One refine per worker slot, run as concurrent pool jobs, so the
+    // per-thread maze scratch is exercised on the pool's threads too.
+    std::vector<RefineOutcome> out(workers);
+    util::ParallelRuntime::for_each(
+        0, workers,
+        [&](std::size_t i) {
+          RouteSolution sol = initial;
+          out[i].stats = maze_refine(sol, cap);
+          out[i].hash = solution_hash(sol);
+        },
+        1);
+    for (const RefineOutcome& o : out) {
+      EXPECT_EQ(o.stats.rounds_run, 3);
+      EXPECT_EQ(o.stats.nets_rerouted, 463);
+      EXPECT_EQ(o.stats.nets_improved, 70);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(o.stats.overflow_before),
+                std::bit_cast<std::uint64_t>(0x1.1f2aaaap+6));  // 71.79166650772095
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(o.stats.overflow_after),
+                std::bit_cast<std::uint64_t>(0x1.eep+4));  // 30.875
+      EXPECT_EQ(o.hash, 0x14185f201a3f48e2ull);
+    }
+  }
+  util::set_worker_count(0);
 }
 
 }  // namespace

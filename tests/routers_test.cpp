@@ -2,8 +2,10 @@
 
 #include <limits>
 
+#include "checker.hpp"
 #include "design/generator.hpp"
 #include "eval/metrics.hpp"
+#include "eval/solution.hpp"
 #include "routers/cugr2lite.hpp"
 #include "routers/lagrangian.hpp"
 #include "routers/maze.hpp"
@@ -85,6 +87,108 @@ TEST(Maze, UnreachableTargetReportsTypedStatus) {
 TEST(Maze, EmptySourceSetIsInvalidArgument) {
   const GCellGrid grid = GCellGrid::uniform(6, 6, 2, 1);
   const MazeResult r = maze_route(grid, {}, {5, 5}, [](grid::EdgeId) { return 1.0; });
+  EXPECT_FALSE(r.found);
+  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Oracle checks (tests/checker.hpp): the optimised maze core and the sparse
+// per-net accounting against their naive references, bit for bit.
+// ---------------------------------------------------------------------------
+
+TEST(MazeOracle, MatchesReferenceDijkstraOnSeededGrids) {
+  int found = 0;
+  int unreachable = 0;
+  test::for_each_seed(1, 400, [&](util::Rng& rng) {
+    const test::MazeCase mc = test::draw_maze_case(rng);
+    auto cost = [&mc](grid::EdgeId e) { return mc.cost[static_cast<std::size_t>(e)]; };
+    const MazeResult want = test::reference_maze_route(mc.grid, mc.sources, mc.target, cost);
+    const MazeResult got = maze_route(mc.grid, mc.sources, mc.target, cost);
+    test::expect_same_maze(want, got);
+    (want.found ? found : unreachable) += 1;
+  });
+  // The draw must exercise both outcomes, or the comparison proves little.
+  EXPECT_GT(found, 200);
+  EXPECT_GT(unreachable, 10);
+}
+
+TEST(MazeOracle, EmptySourceSetMatchesReference) {
+  const GCellGrid grid = GCellGrid::uniform(3, 3, 2, 1);
+  auto cost = [](grid::EdgeId) { return 1.0; };
+  test::expect_same_maze(test::reference_maze_route(grid, {}, {1, 1}, cost),
+                         maze_route(grid, {}, {1, 1}, cost));
+}
+
+TEST(NetEdgeMapOracle, MatchesFullGridDemandMapRecompute) {
+  grid::NetEdgeMap sparse;  // reused across cases, as a refine pass reuses one map
+  test::for_each_seed(1, 300, [&](util::Rng& rng) {
+    const int w = static_cast<int>(rng.uniform_int(1, 20));
+    const int h = static_cast<int>(rng.uniform_int(1, 20));
+    const Design d("oracle", GCellGrid::uniform(w, h, 2, 1), {});
+    const GCellGrid& grid = d.grid();
+    eval::NetRoute net;
+    for (std::int64_t i = rng.uniform_int(1, 4); i > 0; --i) {
+      net.paths.push_back(test::random_walk(rng, grid));
+    }
+    constexpr float kViaBetas[3] = {0.0f, 0.3f, 0.5f};
+    const float via_beta = kViaBetas[rng.uniform_int(0, 2)];
+
+    grid::DemandMap full(grid);
+    sparse.reset(static_cast<std::size_t>(grid.edge_count()));
+    eval::RouteSolution::apply_net(full, d, net, via_beta, +1.0);
+    eval::RouteSolution::apply_net(sparse, d, net, via_beta, +1.0);
+    for (grid::EdgeId e = 0; e < grid.edge_count(); ++e) {
+      ASSERT_TRUE(test::same_bits(sparse.demand(e), full.demand(e))) << "edge " << e;
+    }
+
+    // Sparse iteration visits exactly the full scan's non-zero edges, in
+    // its (ascending) order.
+    std::vector<grid::EdgeId> nonzero;
+    for (grid::EdgeId e = 0; e < grid.edge_count(); ++e) {
+      if (full.demand(e) != 0.0) nonzero.push_back(e);
+    }
+    ASSERT_EQ(sparse.sorted_edges(), nonzero);
+
+    // So the marginal-overflow sum the refine/repair pricing takes matches
+    // the full-grid scan bitwise. The per-edge 1/(e+3) factor makes the sum
+    // order-sensitive, so a visit order differing from the scan shows here.
+    grid::DemandMap others(grid);
+    std::vector<float> cap(static_cast<std::size_t>(grid.edge_count()));
+    for (grid::EdgeId e = 0; e < grid.edge_count(); ++e) {
+      others.add(e, static_cast<double>(rng.uniform_int(0, 6)) * 0.25);
+      cap[static_cast<std::size_t>(e)] = static_cast<float>(rng.uniform_int(0, 4));
+    }
+    auto term = [&](grid::EdgeId e, double w) {
+      const double base = others.demand(e);
+      const double c = cap[static_cast<std::size_t>(e)];
+      return (std::max(0.0, base + w - c) - std::max(0.0, base - c)) / (e + 3.0);
+    };
+    double want = 0.0;
+    for (grid::EdgeId e = 0; e < grid.edge_count(); ++e) {
+      if (full.demand(e) > 0.0) want += term(e, full.demand(e));
+    }
+    double got = 0.0;
+    for (const grid::EdgeId e : sparse.sorted_edges()) {
+      if (sparse.demand(e) > 0.0) got += term(e, sparse.demand(e));
+    }
+    EXPECT_TRUE(test::same_bits(got, want)) << got << " vs " << want;
+  });
+}
+
+TEST(Maze, WidestSupportedGridRoutesEndToEnd) {
+  // Heap entries carry 16-bit coordinates: the far corner of the widest
+  // accepted grid must still be reached exactly.
+  const GCellGrid grid = GCellGrid::uniform(kMaxMazeDim, 1, 2, 1);
+  const Point far{static_cast<geom::Coord>(kMaxMazeDim - 1), 0};
+  const MazeResult r = maze_route(grid, {{0, 0}}, far, [](grid::EdgeId) { return 1.0; });
+  ASSERT_TRUE(r.found);
+  EXPECT_DOUBLE_EQ(r.cost, kMaxMazeDim - 1.0);
+  EXPECT_EQ(r.cells.back(), far);
+}
+
+TEST(Maze, OversizedGridIsInvalidArgument) {
+  const GCellGrid grid = GCellGrid::uniform(1, kMaxMazeDim + 1, 2, 1);
+  const MazeResult r = maze_route(grid, {{0, 0}}, {0, 1}, [](grid::EdgeId) { return 1.0; });
   EXPECT_FALSE(r.found);
   EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
 }
